@@ -124,17 +124,6 @@ fn orderbook(c: &mut Criterion) {
 fn generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate_generation");
     group.sample_size(10);
-    group.bench_function("generate_5k_payment_history", |b| {
-        b.iter(|| {
-            Generator::new(SynthConfig {
-                seed: 7,
-                ..SynthConfig::small(5_000)
-            })
-            .run()
-            .events
-            .len()
-        });
-    });
     group.bench_function("generate_5k_pipelined", |b| {
         b.iter(|| {
             Generator::new(SynthConfig {

@@ -80,13 +80,14 @@ pub struct Study {
 }
 
 impl Study {
-    /// Generates a history with the given configuration.
+    /// Generates a history with the given configuration at the default
+    /// [`PipelineConfig`], without retaining the archive bytes.
     pub fn generate(config: SynthConfig) -> Study {
-        Study {
-            output: Generator::new(config).run(),
-            payment_arena: OnceLock::new(),
-            tallies: None,
-        }
+        let pipeline = PipelineConfig {
+            archive: false,
+            ..PipelineConfig::default()
+        };
+        Study::generate_pipelined(config, &pipeline).0
     }
 
     /// Generates a history with the pipelined parallel generator, seeding

@@ -14,7 +14,6 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::access::{shard_of, SHARD_COUNT};
 use crate::amount::{Amount, Drops, Value};
 use crate::currency::Currency;
 use crate::fees::FeeSchedule;
@@ -186,14 +185,11 @@ fn pair_key(
     }
 }
 
-/// One partition of the ledger's keyed state. Every map is owned by the
-/// shard of its *first* key component: account roots by the account, trust
-/// lines by the truster, pair balances by the lexicographically-low party,
-/// offers by their owner. This keeps each mutation confined to the shards
-/// of the accounts it names, which is what makes optimistic parallel
-/// execution's conflict analysis tractable (see [`crate::access`]).
+/// The full mutable ledger state.
+///
+/// See the crate-level example for typical usage.
 #[derive(Debug, Clone, Default)]
-struct Shard {
+pub struct LedgerState {
     accounts: FxHashMap<AccountId, AccountRoot>,
     /// Trust limits: `(truster, trustee, currency) -> limit`.
     trust: FxHashMap<(AccountId, AccountId, Currency), Value>,
@@ -201,15 +197,6 @@ struct Shard {
     balances: FxHashMap<(AccountId, AccountId, Currency), Value>,
     /// Live offers, ordered by `(owner, offer_seq)`.
     offers: BTreeMap<(AccountId, u32), Offer>,
-}
-
-/// The full mutable ledger state, partitioned into [`SHARD_COUNT`] shards
-/// by account owner ([`shard_of`]).
-///
-/// See the crate-level example for typical usage.
-#[derive(Debug, Clone)]
-pub struct LedgerState {
-    shards: Vec<Shard>,
     /// Fee schedule enforced on `apply`.
     fees: FeeSchedule,
     /// Total XRP burned so far.
@@ -221,58 +208,7 @@ pub struct LedgerState {
     credit_generation: u64,
 }
 
-impl Default for LedgerState {
-    fn default() -> LedgerState {
-        LedgerState {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            fees: FeeSchedule::default(),
-            burned: Drops::ZERO,
-            credit_generation: 0,
-        }
-    }
-}
-
-/// Global-order iterator over all live offers: a k-way merge of the
-/// per-shard `(owner, offer_seq)`-ordered maps, preserving the exact
-/// ordering consumers such as the order-book builder rely on.
-pub struct Offers<'a> {
-    heads:
-        Vec<std::iter::Peekable<std::collections::btree_map::Values<'a, (AccountId, u32), Offer>>>,
-}
-
-impl<'a> Iterator for Offers<'a> {
-    type Item = &'a Offer;
-
-    fn next(&mut self) -> Option<&'a Offer> {
-        let mut best: Option<(usize, (AccountId, u32))> = None;
-        for (i, head) in self.heads.iter_mut().enumerate() {
-            if let Some(offer) = head.peek() {
-                let key = (offer.owner, offer.offer_seq);
-                if best.is_none_or(|(_, k)| key < k) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        best.and_then(|(i, _)| self.heads[i].next())
-    }
-}
-
 impl LedgerState {
-    #[inline]
-    fn shard(&self, id: &AccountId) -> &Shard {
-        &self.shards[shard_of(id)]
-    }
-
-    #[inline]
-    fn shard_mut(&mut self, id: &AccountId) -> &mut Shard {
-        &mut self.shards[shard_of(id)]
-    }
-
-    #[inline]
-    fn account_mut(&mut self, id: &AccountId) -> Option<&mut AccountRoot> {
-        self.shards[shard_of(id)].accounts.get_mut(id)
-    }
-
     /// Creates an empty state with the main-net fee schedule.
     pub fn new() -> LedgerState {
         LedgerState::with_fees(FeeSchedule::mainnet())
@@ -310,17 +246,17 @@ impl LedgerState {
 
     /// Number of accounts.
     pub fn account_count(&self) -> usize {
-        self.shards.iter().map(|s| s.accounts.len()).sum()
+        self.accounts.len()
     }
 
     /// Looks up an account root.
     pub fn account(&self, id: &AccountId) -> Option<&AccountRoot> {
-        self.shard(id).accounts.get(id)
+        self.accounts.get(id)
     }
 
     /// Iterates over all accounts.
     pub fn accounts(&self) -> impl Iterator<Item = (&AccountId, &AccountRoot)> {
-        self.shards.iter().flat_map(|s| s.accounts.iter())
+        self.accounts.iter()
     }
 
     /// Creates an account funded with `balance` XRP.
@@ -330,7 +266,7 @@ impl LedgerState {
     /// Panics if the account already exists — account creation is driven by
     /// generators which guarantee fresh identifiers.
     pub fn create_account(&mut self, id: AccountId, balance: Drops) {
-        let prev = self.shard_mut(&id).accounts.insert(
+        let prev = self.accounts.insert(
             id,
             AccountRoot {
                 balance,
@@ -365,20 +301,17 @@ impl LedgerState {
             return Err(LedgerError::NoSuchAccount(trustee));
         }
         let key = (truster, trustee, currency);
-        // The trust line and the truster's root live in the same shard, so a
-        // single mutable shard borrow covers both maps.
-        let shard = &mut self.shards[shard_of(&truster)];
-        let existed = shard.trust.contains_key(&key);
-        let root = shard
+        let existed = self.trust.contains_key(&key);
+        let root = self
             .accounts
             .get_mut(&truster)
             .ok_or(LedgerError::NoSuchAccount(truster))?;
         if limit.is_zero() {
-            if shard.trust.remove(&key).is_some() {
+            if self.trust.remove(&key).is_some() {
                 root.owner_count = root.owner_count.saturating_sub(1);
             }
         } else {
-            shard.trust.insert(key, limit);
+            self.trust.insert(key, limit);
             if !existed {
                 root.owner_count += 1;
             }
@@ -390,8 +323,7 @@ impl LedgerState {
     /// The declared trust limit from `truster` towards `trustee` (zero if no
     /// line exists).
     pub fn trust_limit(&self, truster: AccountId, trustee: AccountId, currency: Currency) -> Value {
-        self.shard(&truster)
-            .trust
+        self.trust
             .get(&(truster, trustee, currency))
             .copied()
             .unwrap_or(Value::ZERO)
@@ -402,22 +334,21 @@ impl LedgerState {
     pub fn pair_balances(
         &self,
     ) -> impl Iterator<Item = (AccountId, AccountId, Currency, Value)> + '_ {
-        self.shards
+        self.balances
             .iter()
-            .flat_map(|s| s.balances.iter())
             .map(|(&(low, high, currency), &value)| (low, high, currency, value))
     }
 
     /// Iterates over all trust lines.
     pub fn trust_lines(&self) -> impl Iterator<Item = TrustLine> + '_ {
-        self.shards.iter().flat_map(|s| s.trust.iter()).map(
-            |(&(truster, trustee, currency), &limit)| TrustLine {
+        self.trust
+            .iter()
+            .map(|(&(truster, trustee, currency), &limit)| TrustLine {
                 truster,
                 trustee,
                 currency,
                 limit,
-            },
-        )
+            })
     }
 
     /// How much of `counterparty`'s debt `holder` currently holds (negative
@@ -429,12 +360,7 @@ impl LedgerState {
         currency: Currency,
     ) -> Value {
         let (key, flipped) = pair_key(holder, counterparty, currency);
-        let raw = self
-            .shard(&key.0)
-            .balances
-            .get(&key)
-            .copied()
-            .unwrap_or(Value::ZERO);
+        let raw = self.balances.get(&key).copied().unwrap_or(Value::ZERO);
         if flipped {
             -raw
         } else {
@@ -446,16 +372,14 @@ impl LedgerState {
     /// (positive = the system owes the account; negative = the account owes).
     pub fn net_position(&self, account: AccountId, currency: Currency) -> Value {
         let mut total = Value::ZERO;
-        for shard in &self.shards {
-            for (&(low, high, cur), &bal) in &shard.balances {
-                if cur != currency {
-                    continue;
-                }
-                if low == account {
-                    total = total + bal;
-                } else if high == account {
-                    total = total - bal;
-                }
+        for (&(low, high, cur), &bal) in &self.balances {
+            if cur != currency {
+                continue;
+            }
+            if low == account {
+                total = total + bal;
+            } else if high == account {
+                total = total - bal;
             }
         }
         total
@@ -527,15 +451,14 @@ impl LedgerState {
         delta: Value,
     ) {
         let (key, flipped) = pair_key(holder, counterparty, currency);
-        let balances = &mut self.shards[shard_of(&key.0)].balances;
-        let entry = balances.entry(key).or_insert(Value::ZERO);
+        let entry = self.balances.entry(key).or_insert(Value::ZERO);
         *entry = if flipped {
             *entry - delta
         } else {
             *entry + delta
         };
         if entry.is_zero() {
-            balances.remove(&key);
+            self.balances.remove(&key);
         }
         self.credit_generation += 1;
     }
@@ -570,7 +493,8 @@ impl LedgerState {
             self.fees.reserve_for(root.owner_count)
         };
         let root = self
-            .account_mut(&from)
+            .accounts
+            .get_mut(&from)
             .ok_or(LedgerError::NoSuchAccount(from))?;
         let spendable = root.balance.checked_sub(reserve).unwrap_or(Drops::ZERO);
         if amount > spendable {
@@ -581,7 +505,7 @@ impl LedgerState {
             });
         }
         root.balance = root.balance.checked_sub(amount).expect("checked above");
-        let to_root = self.account_mut(&to).expect("checked above");
+        let to_root = self.accounts.get_mut(&to).expect("checked above");
         to_root.balance = to_root
             .balance
             .checked_add(amount)
@@ -616,7 +540,8 @@ impl LedgerState {
             return Err(LedgerError::NoSuchAccount(to));
         }
         let root = self
-            .account_mut(&from)
+            .accounts
+            .get_mut(&from)
             .ok_or(LedgerError::NoSuchAccount(from))?;
         let new_balance = root.balance.checked_sub(amount).ok_or({
             LedgerError::InsufficientXrp {
@@ -626,7 +551,7 @@ impl LedgerState {
             }
         })?;
         root.balance = new_balance;
-        let to_root = self.account_mut(&to).expect("checked above");
+        let to_root = self.accounts.get_mut(&to).expect("checked above");
         to_root.balance = to_root
             .balance
             .checked_add(amount)
@@ -646,13 +571,12 @@ impl LedgerState {
         taker_gets: Amount,
         taker_pays: Amount,
     ) -> Result<(), LedgerError> {
-        let shard = &mut self.shards[shard_of(&owner)];
-        let root = shard
+        let root = self
             .accounts
             .get_mut(&owner)
             .ok_or(LedgerError::NoSuchAccount(owner))?;
         root.owner_count += 1;
-        shard.offers.insert(
+        self.offers.insert(
             (owner, offer_seq),
             Offer {
                 owner,
@@ -670,12 +594,11 @@ impl LedgerState {
     ///
     /// [`LedgerError::NoSuchOffer`] if absent.
     pub fn cancel_offer(&mut self, owner: AccountId, offer_seq: u32) -> Result<Offer, LedgerError> {
-        let shard = &mut self.shards[shard_of(&owner)];
-        let offer = shard
+        let offer = self
             .offers
             .remove(&(owner, offer_seq))
             .ok_or(LedgerError::NoSuchOffer { owner, offer_seq })?;
-        if let Some(root) = shard.accounts.get_mut(&owner) {
+        if let Some(root) = self.accounts.get_mut(&owner) {
             root.owner_count = root.owner_count.saturating_sub(1);
         }
         Ok(offer)
@@ -695,7 +618,6 @@ impl LedgerState {
         taker_pays: Amount,
     ) -> Result<(), LedgerError> {
         let offer = self
-            .shard_mut(&owner)
             .offers
             .get_mut(&(owner, offer_seq))
             .ok_or(LedgerError::NoSuchOffer { owner, offer_seq })?;
@@ -706,23 +628,17 @@ impl LedgerState {
 
     /// Looks up a live offer.
     pub fn offer(&self, owner: AccountId, offer_seq: u32) -> Option<&Offer> {
-        self.shard(&owner).offers.get(&(owner, offer_seq))
+        self.offers.get(&(owner, offer_seq))
     }
 
-    /// Iterates over all live offers in global `(owner, offer_seq)` order.
-    pub fn offers(&self) -> Offers<'_> {
-        Offers {
-            heads: self
-                .shards
-                .iter()
-                .map(|s| s.offers.values().peekable())
-                .collect(),
-        }
+    /// Iterates over all live offers in `(owner, offer_seq)` order.
+    pub fn offers(&self) -> impl Iterator<Item = &Offer> {
+        self.offers.values()
     }
 
     /// Number of live offers.
     pub fn offer_count(&self) -> usize {
-        self.shards.iter().map(|s| s.offers.len()).sum()
+        self.offers.len()
     }
 
     /// Removes **all** offers from the ledger — the paper's Table II
@@ -730,16 +646,10 @@ impl LedgerState {
     /// from the system and replay the extracted payments on the modified
     /// trust network".
     pub fn strip_all_offers(&mut self) -> usize {
-        let mut n = 0;
-        for shard in &mut self.shards {
-            n += shard.offers.len();
-            let owners: Vec<AccountId> = shard.offers.values().map(|o| o.owner).collect();
-            shard.offers.clear();
-            // Offers live in their owner's shard, so the root is local.
-            for owner in owners {
-                if let Some(root) = shard.accounts.get_mut(&owner) {
-                    root.owner_count = root.owner_count.saturating_sub(1);
-                }
+        let n = self.offers.len();
+        for (owner, _) in std::mem::take(&mut self.offers).into_keys() {
+            if let Some(root) = self.accounts.get_mut(&owner) {
+                root.owner_count = root.owner_count.saturating_sub(1);
             }
         }
         n
@@ -755,28 +665,19 @@ impl LedgerState {
     /// longer forward IOU payments.
     pub fn sever_account(&mut self, account: AccountId) {
         let removed_trust: Vec<(AccountId, AccountId, Currency)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.trust.keys())
+            .trust
+            .keys()
             .filter(|&&(truster, trustee, _)| truster == account || trustee == account)
             .copied()
             .collect();
         for key in removed_trust {
-            self.shards[shard_of(&key.0)].trust.remove(&key);
-            if let Some(root) = self.account_mut(&key.0) {
+            self.trust.remove(&key);
+            if let Some(root) = self.accounts.get_mut(&key.0) {
                 root.owner_count = root.owner_count.saturating_sub(1);
             }
         }
-        let removed_balances: Vec<(AccountId, AccountId, Currency)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.balances.keys())
-            .filter(|&&(low, high, _)| low == account || high == account)
-            .copied()
-            .collect();
-        for key in removed_balances {
-            self.shards[shard_of(&key.0)].balances.remove(&key);
-        }
+        self.balances
+            .retain(|&(low, high, _), _| low != account && high != account);
         self.credit_generation += 1;
     }
 
@@ -908,32 +809,19 @@ impl LedgerState {
             }
         }
 
-        let root = self.account_mut(&tx.account).expect("checked above");
+        let root = self.accounts.get_mut(&tx.account).expect("checked above");
         root.sequence += 1;
         Ok(TxResult::Applied)
     }
 
-    /// Like [`LedgerState::apply`] but records the transaction's static
-    /// access footprint ([`crate::access::tx_access`]) into `trace` before
-    /// applying — the plumbing the parallel executor uses to build
-    /// per-payment read/write sets.
-    pub fn apply_traced(
-        &mut self,
-        tx: &Transaction,
-        trace: &mut crate::access::AccessSet,
-    ) -> Result<TxResult, LedgerError> {
-        crate::access::tx_access_into(tx, trace);
-        self.apply(tx)
-    }
-
     fn charge_fee(&mut self, account: AccountId, fee: Drops) {
-        let root = self.account_mut(&account).expect("caller validated");
+        let root = self.accounts.get_mut(&account).expect("caller validated");
         root.balance = root.balance.checked_sub(fee).expect("caller validated fee");
         self.burned = self.burned.checked_add(fee).expect("burn fits u64");
     }
 
     fn refund_fee(&mut self, account: AccountId, fee: Drops) {
-        let root = self.account_mut(&account).expect("caller validated");
+        let root = self.accounts.get_mut(&account).expect("caller validated");
         root.balance = root.balance.checked_add(fee).expect("refund fits");
         self.burned = Drops::new(self.burned.as_drops() - fee.as_drops());
     }
@@ -1377,8 +1265,7 @@ mod tests {
     #[test]
     fn offers_iterate_in_global_owner_seq_order_across_shards() {
         let mut s = LedgerState::new();
-        // Owners spread over distinct shards (first byte selects the shard),
-        // inserted in shuffled order.
+        // Distinct owners inserted in shuffled order.
         let owners = [acct(0x31), acct(0x05), acct(0xF2), acct(0x18), acct(0x05)];
         let seqs = [7u32, 9, 1, 4, 2];
         for (owner, seq) in owners.iter().zip(seqs) {
@@ -1399,36 +1286,6 @@ mod tests {
         assert_eq!(order, sorted);
         assert_eq!(order.len(), 5);
         assert_eq!(s.offer_count(), 5);
-    }
-
-    #[test]
-    fn apply_traced_records_footprint_and_matches_apply() {
-        use crate::access::{tx_access, AccessSet};
-        use crate::tx::{Transaction, TxKind};
-        use ripple_crypto::SimKeypair;
-        let keys = SimKeypair::from_seed(b"traced");
-        let who = AccountId::from_public_key(&keys.public_key());
-        let mut s = LedgerState::new();
-        s.create_account(who, Drops::from_xrp(100));
-        s.create_account(acct(9), Drops::from_xrp(100));
-        let tx = Transaction::build(
-            who,
-            1,
-            Drops::new(10),
-            TxKind::Payment {
-                destination: acct(9),
-                amount: Amount::Xrp(Drops::from_xrp(1)),
-                send_max: None,
-                paths: Vec::new(),
-            },
-        )
-        .signed(&keys);
-        let mut trace = AccessSet::new();
-        s.apply_traced(&tx, &mut trace).unwrap();
-        let expected = tx_access(&tx);
-        assert_eq!(trace.len(), expected.len());
-        assert!(trace.intersects(&expected));
-        assert_eq!(s.account(&acct(9)).unwrap().balance, Drops::from_xrp(101));
     }
 
     #[test]

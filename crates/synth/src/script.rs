@@ -23,16 +23,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use ripple_crypto::{mix128, sha512_half, AccountId, Digest256, FxHashMap, FxHashSet, SimKeypair};
-use ripple_ledger::{Currency, Drops, LedgerState, RippleTime, Value};
+use ripple_ledger::{Currency, RippleTime, Value};
 use ripple_orderbook::{Rate, RateTable};
 
 use crate::cast::Cast;
 use crate::config::SynthConfig;
 use crate::dist::{Categorical, LogNormal, Zipf};
 use crate::generate::{
-    amount_for, build_menus, convert, exp_sample, place_resident_offers, sample_route_depth,
-    Generator, KindBudgets, MaxOne, OfferChurn, PaymentKind,
+    amount_for, convert, exp_sample, sample_route_depth, Generator, KindBudgets, MaxOne,
+    OfferChurn, PaymentKind,
 };
+use crate::pipeline::Setup;
 
 /// Derives an independent RNG seed from the master seed, a purpose label and
 /// an ordinal, by mixing all three through the 128-bit hash. Chunk RNG
@@ -47,16 +48,15 @@ pub fn derive_seed(seed: u64, label: &str, n: u64) -> u64 {
 
 /// Precomputed lookup structures over a [`Cast`]: per-community member and
 /// gateway lists, the gateway set, the shared samplers and merchant menus.
-/// Built once (serially) and shared read-only by every scripting worker —
-/// this is what removes the `pin_to_community` linear scans from the hot
-/// loop.
+/// Built once (serially) and shared read-only by every scripting worker, so
+/// community pinning and gateway membership are lookups, not cast scans.
 #[derive(Debug)]
 pub struct CastIndex {
     /// Per community: member accounts (users first, then merchants).
     pub(crate) members: Vec<Vec<AccountId>>,
     /// Community of every user and merchant.
     pub(crate) community_of: FxHashMap<AccountId, usize>,
-    /// Every gateway account (the `ensure_hop` membership probe).
+    /// Every gateway account (the `apply_hop` membership probe).
     pub(crate) gateway_set: FxHashSet<AccountId>,
     /// Per community: its gateway accounts, in cast order.
     pub(crate) community_gateways: Vec<Vec<AccountId>>,
@@ -102,7 +102,7 @@ impl CastIndex {
             mm_zipf: Zipf::new(cast.market_makers.len(), 1.0),
             parallel_dist: Categorical::new([(1usize, 0.18), (2, 0.17), (3, 0.15), (4, 0.50)]),
             iou_mix: Categorical::new(config.iou_currency_mix()),
-            churn: OfferChurn::new(config, cast, &rates),
+            churn: OfferChurn::new(cast, &rates),
             menus,
             rates,
         }
@@ -204,13 +204,6 @@ pub enum ScriptedBody {
         /// The planned parallel paths.
         paths: Vec<ScriptedPath>,
     },
-    /// The crafted 44-intermediate probe payment (at most one per history;
-    /// substituted by the executor over the first eligible IOU slot in the
-    /// second half).
-    Probe {
-        /// Delivered USD amount.
-        amount: Value,
-    },
 }
 
 /// One fully planned payment slot.
@@ -287,8 +280,7 @@ fn chunk_window(config: &SynthConfig, c: usize, n_chunks: usize) -> (RippleTime,
     )
 }
 
-/// Simulated-account derivation (same construction the serial generator
-/// uses for one-time and probe accounts).
+/// Simulated-account derivation for one-time and probe accounts.
 pub(crate) fn account_from_seed(seed: &str) -> AccountId {
     AccountId::from_public_key(&SimKeypair::from_seed(seed.as_bytes()).public_key())
 }
@@ -347,9 +339,11 @@ pub fn build_chunk(
             k
         };
 
-        // Chunk-local adaptive pacing, identical to the serial generator's
-        // but bounded by the chunk window (bursts and ping-pong bounces stay
-        // on the current page, so pages never straddle chunks).
+        // Chunk-local adaptive pacing, bounded by the chunk window (bursts
+        // and ping-pong bounces stay on the current page, so pages never
+        // straddle chunks). The gap mean is recomputed from the remaining
+        // span and the observed advance rate, so the history reaches the
+        // window end.
         let in_burst = burst_left > 0;
         let same_page = (in_burst && burst_kind == PaymentKind::Mtl)
             || (kind == PaymentKind::XrpZeroBounce && !zero_outbound)
@@ -359,10 +353,22 @@ pub fn build_chunk(
             let advance_rate = (advances as f64 / (entries.len().max(1) as f64)).clamp(0.05, 1.0);
             let remaining_span = (w_end.seconds().saturating_sub(now.seconds())) as f64;
             let mean_gap = (remaining_span / (remaining_payments * advance_rate)).max(1.0);
-            let mut gap = exp_sample(&mut rng, mean_gap).max(page as f64);
+            // One page plus an exponential excess keeps the drawn mean at
+            // `mean_gap`. Flooring an `Exp(mean_gap)` draw at one page
+            // instead inflates the mean, so the window runs out early and
+            // the end clamp stacks the tail onto the final page.
+            let page_f = page as f64;
+            let mut gap = if mean_gap > page_f {
+                page_f + exp_sample(&mut rng, mean_gap - page_f)
+            } else {
+                page_f
+            };
+            // Cap the jump so the expected remaining advances still fit in
+            // the window: one long draw near the end would otherwise push
+            // `now` past it and every later payment onto the final page.
             let expected_advances = (remaining_payments * advance_rate).max(1.0);
             let reserve = ((expected_advances - 1.0) * page as f64).min(remaining_span);
-            gap = gap.min((remaining_span - reserve).max(page as f64));
+            gap = gap.min((remaining_span - reserve).max(page_f));
             let quantized = (gap as u64 / page) * page;
             now = now.plus_seconds(quantized.max(page));
             advances += 1;
@@ -483,8 +489,11 @@ fn script_churn(config: &SynthConfig, index: &CastIndex, rng: &mut StdRng) -> Ve
     out
 }
 
-/// Scripts one IOU payment (forced CCK or free), mirroring the serial
-/// `gen_iou` draw-for-draw but via the precomputed index.
+/// Scripts one IOU payment (forced CCK or free). Same-community payments
+/// ride one or two shared-gateway paths; routed ones (cross-community
+/// and/or cross-currency) ride `k` parallel paths of a drawn depth around
+/// a converting connector (a Market Maker or, on hub-covered pairs, a
+/// super-hub).
 fn script_iou(
     config: &SynthConfig,
     cast: &Cast,
@@ -642,8 +651,8 @@ fn script_iou(
     }
 }
 
-/// Destination + amount pick with merchant menus and chunk-local habits
-/// (mirrors the serial `pick_destination_and_amount`).
+/// Picks a destination and amount, applying merchant menus and chunk-local
+/// repeat habits (the structure the de-anonymization study exploits).
 fn pick_destination_and_amount(
     config: &SynthConfig,
     cast: &Cast,
@@ -685,8 +694,8 @@ fn pick_destination_and_amount(
     (dest, amount)
 }
 
-/// O(1) community pinning over the precomputed member lists (replaces the
-/// serial generator's linear cast scan).
+/// Keeps `candidate` if it is a member of `community` (and not `exclude`);
+/// otherwise draws a member, via the precomputed member lists.
 fn pin_to_community(
     index: &CastIndex,
     candidate: AccountId,
@@ -758,25 +767,15 @@ pub fn build_script(
         .collect()
 }
 
-/// Convenience for tests and tools: performs the pipelined generator's
-/// serial setup (cast, resident offers, menus) and scripts the whole
-/// history with `workers` threads. Returns the cast and the chunks in
-/// index order.
+/// Convenience for tests and tools: performs the generator's serial setup
+/// (cast, resident offers, menus) and scripts the whole history with
+/// `workers` threads. Returns the cast and the chunks in index order.
 pub fn plan_history(
     config: &SynthConfig,
     workers: usize,
     chunk_size: usize,
 ) -> (Cast, Vec<ScriptChunk>) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut state = LedgerState::new();
-    let mut events = Vec::new();
-    let cast = Cast::build(config, &mut state, &mut events, &mut rng);
-    let rates = RateTable::eur_2015();
-    let treasury = AccountId::from_bytes([0xFE; 20]);
-    state.create_account(treasury, Drops::from_xrp(50_000_000_000));
-    place_resident_offers(config, &cast, &rates, &mut state, &mut events, &mut rng);
-    let menus = build_menus(&cast, &mut rng);
-    let index = CastIndex::build(config, &cast, menus, rates);
-    let chunks = build_script(config, &cast, &index, workers, chunk_size);
-    (cast, chunks)
+    let setup = Setup::build(config);
+    let chunks = build_script(config, &setup.cast, &setup.index, workers, chunk_size);
+    (setup.cast, chunks)
 }
